@@ -225,7 +225,8 @@ func (l *Loader) check(path string, files []*ast.File) (*types.Package, *types.I
 
 // ModulePackages returns the import paths of every package under the module
 // root matching the "./..."-style dir patterns, in dependency order
-// (imports first), skipping testdata and hidden directories.
+// (imports first), skipping testdata, hidden directories and nested modules
+// (subdirectories holding their own go.mod), as go list does.
 func (l *Loader) ModulePackages(patterns ...string) ([]string, error) {
 	dirs := map[string]bool{}
 	addTree := func(base string) error {
@@ -244,11 +245,18 @@ func (l *Loader) ModulePackages(patterns ...string) ([]string, error) {
 			if err != nil {
 				return err
 			}
+			hasGo := false
 			for _, e := range ents {
-				if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-					dirs[p] = true
-					break
+				if e.IsDir() {
+					continue
 				}
+				if e.Name() == "go.mod" && p != l.Root {
+					return filepath.SkipDir // a nested module, as go list skips it
+				}
+				hasGo = hasGo || strings.HasSuffix(e.Name(), ".go")
+			}
+			if hasGo {
+				dirs[p] = true
 			}
 			return nil
 		})

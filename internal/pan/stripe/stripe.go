@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"tango/internal/netsim"
+	"tango/internal/rtt"
 	"tango/internal/segment"
 	"tango/internal/squic"
 )
@@ -107,10 +108,9 @@ type Pipeline struct {
 	// only writer, so its own lock-free reads stay consistent.
 	statusMu sync.Mutex //lint:lockorder stripestatus
 
-	// Jacobson/Karels estimator over segment completion times. Seeded from
-	// monitor telemetry so the first scheduling decisions are informed.
-	srtt, rttvar time.Duration
-	samples      int
+	// rtt estimates segment completion times. Seeded from monitor telemetry
+	// so the first scheduling decisions are informed.
+	rtt rtt.Estimator
 	// baseRTT is the minimum segment completion time seen on this pipeline —
 	// the congestion-free baseline the window gate compares against.
 	baseRTT time.Duration
@@ -148,13 +148,7 @@ func NewPipeline(conn *squic.Conn, path *segment.Path, seedRTT, seedDev time.Dur
 		cwnd:     DefaultInitialCwnd,
 		ssthresh: DefaultMaxCwnd,
 	}
-	if seedRTT > 0 {
-		p.srtt = seedRTT
-		p.rttvar = seedDev
-		if p.rttvar <= 0 {
-			p.rttvar = seedRTT / 2
-		}
-	}
+	p.rtt.Seed(seedRTT, seedDev)
 	return p
 }
 
@@ -186,7 +180,7 @@ func (p *Pipeline) Status() PipelineStatus {
 		Segments:    p.acks,
 		Losses:      p.losses,
 		Cwnd:        p.cwnd,
-		SRTT:        p.srtt,
+		SRTT:        p.rtt.SRTT,
 		Dead:        p.dead,
 	}
 }
@@ -194,13 +188,13 @@ func (p *Pipeline) Status() PipelineStatus {
 // pessimistic is the scheduler's ranking estimate: smoothed RTT plus twice
 // its deviation — the same idiom the monitor's PathStats penalty uses, so a
 // jittery path schedules behind a steady one with the same mean.
-func (p *Pipeline) pessimistic() time.Duration { return p.srtt + 2*p.rttvar }
+func (p *Pipeline) pessimistic() time.Duration { return p.rtt.SRTT + 2*p.rtt.RTTVar }
 
 // rto is the attempt timeout: generous against in-window queueing growth
 // (completion time scales with the window during slow start), exponentially
 // backed off per consecutive timeout, floored and capped.
 func (p *Pipeline) rto(minRTO time.Duration) time.Duration {
-	base := 3*p.srtt + 4*p.rttvar
+	base := 3*p.rtt.SRTT + 4*p.rtt.RTTVar
 	if base < minRTO {
 		base = minRTO
 	}
@@ -224,24 +218,10 @@ func (p *Pipeline) rto(minRTO time.Duration) time.Duration {
 func (p *Pipeline) onAck(rtt time.Duration, maxCwnd int) {
 	p.statusMu.Lock()
 	defer p.statusMu.Unlock()
-	if rtt <= 0 {
-		rtt = time.Microsecond
-	}
+	rtt = p.rtt.Observe(rtt)
 	if p.baseRTT == 0 || rtt < p.baseRTT {
 		p.baseRTT = rtt
 	}
-	if p.samples == 0 && p.srtt == 0 {
-		p.srtt = rtt
-		p.rttvar = rtt / 2
-	} else {
-		d := p.srtt - rtt
-		if d < 0 {
-			d = -d
-		}
-		p.rttvar = (3*p.rttvar + d) / 4
-		p.srtt = (7*p.srtt + rtt) / 8
-	}
-	p.samples++
 	p.consecTO = 0
 	p.backoff = 0
 	switch {

@@ -140,6 +140,39 @@ func (p *Path) Reversed() *Path {
 	return out
 }
 
+// SameHops reports whether q forwards exactly like p: the same endpoints and,
+// hop for hop, the same AS, interfaces and authorization fields (times
+// compared by Equal). Metadata and memoized state are ignored, so a caller
+// can keep p — with its fingerprint and wire template already computed — in
+// place of an equal path decoded afresh.
+func (p *Path) SameHops(q *Path) bool {
+	if p == q {
+		return true
+	}
+	if p.Src != q.Src || p.Dst != q.Dst || len(p.Hops) != len(q.Hops) {
+		return false
+	}
+	for i := range p.Hops {
+		a, b := &p.Hops[i], &q.Hops[i]
+		if a.IA != b.IA || a.Ingress != b.Ingress || a.Egress != b.Egress || a.NumAuth != b.NumAuth {
+			return false
+		}
+		for j := 0; j < a.NumAuth && j < len(a.Auth); j++ {
+			if !a.Auth[j].equal(b.Auth[j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func (a AuthField) equal(b AuthField) bool {
+	x, y := a.HopField, b.HopField
+	return x.ConsIngress == y.ConsIngress && x.ConsEgress == y.ConsEgress && x.ExpTime.Equal(y.ExpTime) &&
+		x.MAC == y.MAC && a.SegInfo.Timestamp.Equal(b.SegInfo.Timestamp) &&
+		a.SegInfo.SegID == b.SegInfo.SegID && a.SegInfo.Origin == b.SegInfo.Origin
+}
+
 // String renders the path in the conventional "IA if>if IA" notation.
 func (p *Path) String() string {
 	if len(p.Hops) == 0 {

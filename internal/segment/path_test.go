@@ -110,3 +110,46 @@ func TestHopCount(t *testing.T) {
 		t.Fatalf("HopCount = %d", got)
 	}
 }
+
+func TestPathSameHops(t *testing.T) {
+	exp := time.Date(2022, 10, 10, 6, 0, 0, 0, time.UTC)
+	authed := func() *Path {
+		p := samplePath()
+		for i := range p.Hops {
+			h := &p.Hops[i]
+			h.NumAuth = 1
+			h.Auth[0] = AuthField{
+				HopField: HopField{ConsIngress: h.Ingress, ConsEgress: h.Egress, ExpTime: exp, MAC: MAC{byte(i), 1, 2}},
+				SegInfo:  Info{Timestamp: exp.Add(-6 * time.Hour), SegID: 7, Origin: ia110},
+			}
+		}
+		return p
+	}
+	base := authed()
+	same := authed()
+	same.Meta = Metadata{} // metadata does not forward packets
+	same.Hops[1].Auth[0].HopField.ExpTime = exp.In(time.FixedZone("X", 3600))
+	same.Hops[1].Auth[1].HopField.MAC[0] = 9 // beyond NumAuth
+	if !base.SameHops(same) || !same.SameHops(base) {
+		t.Fatal("paths forwarding alike reported different")
+	}
+	for name, mutate := range map[string]func(p *Path){
+		"src":      func(p *Path) { p.Src = ia110 },
+		"hops":     func(p *Path) { p.Hops = p.Hops[:2] },
+		"ia":       func(p *Path) { p.Hops[1].IA = ia111 },
+		"ingress":  func(p *Path) { p.Hops[1].Ingress = 9 },
+		"egress":   func(p *Path) { p.Hops[1].Egress = 9 },
+		"numauth":  func(p *Path) { p.Hops[1].NumAuth = 2 },
+		"mac":      func(p *Path) { p.Hops[1].Auth[0].HopField.MAC[2] ^= 1 },
+		"exptime":  func(p *Path) { p.Hops[1].Auth[0].HopField.ExpTime = exp.Add(time.Second) },
+		"consin":   func(p *Path) { p.Hops[1].Auth[0].HopField.ConsIngress = 9 },
+		"seginfo":  func(p *Path) { p.Hops[1].Auth[0].SegInfo.SegID = 8 },
+		"segstamp": func(p *Path) { p.Hops[1].Auth[0].SegInfo.Timestamp = exp },
+	} {
+		p := authed()
+		mutate(p)
+		if base.SameHops(p) {
+			t.Errorf("%s: changed path reported the same", name)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package squic
 
 import (
+	"cmp"
 	"context"
 	"crypto/ecdh"
 	"crypto/rand"
@@ -15,6 +16,7 @@ import (
 
 	"tango/internal/addr"
 	"tango/internal/netsim"
+	"tango/internal/rtt"
 	"tango/internal/segment"
 	"tango/internal/snet"
 )
@@ -82,13 +84,6 @@ var (
 	ErrHandshakeTimeout = errors.New("squic: handshake timeout")
 )
 
-// sentPacket tracks an in-flight ack-eliciting packet.
-type sentPacket struct {
-	frames []frame
-	size   int
-	sentAt time.Time
-}
-
 // Conn is one squic connection.
 type Conn struct {
 	cfg       *Config
@@ -127,7 +122,9 @@ type Conn struct {
 	closed      bool
 	closeErr    error
 
-	streams      map[uint64]*Stream
+	// streams holds the open streams in ascending id order, the order
+	// packetization serves them in.
+	streams      []*Stream
 	nextStreamID uint64
 	acceptQ      []*Stream
 	// retiredPeer tracks finished peer-initiated streams (stored as id>>1
@@ -150,13 +147,12 @@ type Conn struct {
 	// Send/reliability state.
 	nextPN       uint64
 	queued       []frame
-	sent         map[uint64]*sentPacket
+	sent         sentLedger
 	inFlight     int
 	cwnd         int
 	largestAcked int64
 	recoveryEnd  uint64 // loss events before this pn don't re-halve cwnd
-	srtt, rttvar time.Duration
-	rttSamples   int
+	rtt          rtt.Estimator
 	// rttObs/rttBatchObs observe accepted RTT samples — the passive-telemetry
 	// tap. Samples are coalesced in the pendingRTT inline buffer under mu
 	// (overflow overwrites the newest slot: an ack burst's samples are a
@@ -180,11 +176,6 @@ type Conn struct {
 	// the remainder.
 	ptoDeadline time.Time
 	ptoBackoff  uint
-	// pnScratch/streamScratch are lock-guarded scratch buffers reused across
-	// ack scans and packetization rounds, keeping the steady-state receive
-	// path allocation-free on long-lived pooled connections.
-	pnScratch     []uint64
-	streamScratch []*Stream
 
 	// Receive state.
 	recvd      rangeSet
@@ -197,8 +188,6 @@ func newConn(pconn PacketConn, cfg *Config, isClient bool) *Conn {
 		clock:        cfg.Clock,
 		pconn:        pconn,
 		isClient:     isClient,
-		streams:      make(map[uint64]*Stream),
-		sent:         make(map[uint64]*sentPacket),
 		cwnd:         cfg.InitialCwnd,
 		largestAcked: -1,
 	}
@@ -312,7 +301,7 @@ func (c *Conn) OpenStream() (*Stream, error) {
 	id := c.nextStreamID
 	c.nextStreamID += 2
 	s := newStream(c, id)
-	c.streams[id] = s
+	c.insertStreamLocked(s)
 	return s, nil
 }
 
@@ -688,11 +677,15 @@ func (c *Conn) processOneRTT(hdr header, body []byte, dg *snet.Datagram) {
 		// Track the freshest return path and confirm the handshake. With a
 		// steered reply path installed, the mirror keeps following the
 		// client (so reverting to mirroring is always possible) but no
-		// longer drives the send path.
-		if dg.ReplyPath != nil {
-			c.mirrorPath = dg.ReplyPath
+		// longer drives the send path. A reply path equal hop for hop to
+		// the mirrored one leaves that object in place, keeping its memoized
+		// fingerprint and wire template.
+		if rp := dg.ReplyPath; rp != nil {
+			if c.mirrorPath == nil || !c.mirrorPath.SameHops(rp) {
+				c.mirrorPath = rp
+			}
 			if !c.steered {
-				c.path = dg.ReplyPath
+				c.path = c.mirrorPath
 			}
 		}
 		c.remote = dg.Src
@@ -714,7 +707,7 @@ func (c *Conn) processOneRTT(hdr header, body []byte, dg *snet.Datagram) {
 		case *ackFrame:
 			c.handleAckLocked(f)
 		case *maxStreamDataFrame:
-			if s, ok := c.streams[f.id]; ok && f.max > s.maxSend {
+			if s := c.streamLocked(f.id); s != nil && f.max > s.maxSend {
 				s.maxSend = f.max
 				c.writable.Broadcast()
 			}
@@ -732,8 +725,8 @@ func (c *Conn) processOneRTT(hdr header, body []byte, dg *snet.Datagram) {
 }
 
 func (c *Conn) handleStreamFrameLocked(f *streamFrame) {
-	s, ok := c.streams[f.id]
-	if !ok {
+	s := c.streamLocked(f.id)
+	if s == nil {
 		peerInitiated := (f.id%2 == 0) != c.isClient
 		if !peerInitiated {
 			return // stale frame for a stream we opened and retired
@@ -742,7 +735,7 @@ func (c *Conn) handleStreamFrameLocked(f *streamFrame) {
 			return // late retransmission for a retired peer stream
 		}
 		s = newStream(c, f.id)
-		c.streams[f.id] = s
+		c.insertStreamLocked(s)
 		c.acceptQ = append(c.acceptQ, s)
 		c.acCond.Broadcast()
 	}
@@ -755,20 +748,41 @@ func (c *Conn) handleStreamFrameLocked(f *streamFrame) {
 	c.retireStreamLocked(s)
 }
 
-// retireStreamLocked drops a fully-finished stream from the demux map, so a
-// long-lived (pooled) connection does not accumulate per-stream state and
-// packetization stays proportional to the ACTIVE stream count. Reads of
-// already-buffered data keep working: they never touch the map.
-func (c *Conn) retireStreamLocked(s *Stream) {
+// streamLocked returns the open stream with the given id, or nil.
+func (c *Conn) streamLocked(id uint64) *Stream {
+	if i, ok := c.streamIndexLocked(id); ok {
+		return c.streams[i]
+	}
+	return nil
+}
+
+func (c *Conn) streamIndexLocked(id uint64) (int, bool) {
+	return slices.BinarySearchFunc(c.streams, id, func(s *Stream, id uint64) int { return cmp.Compare(s.id, id) })
+}
+
+func (c *Conn) insertStreamLocked(s *Stream) {
+	i, _ := c.streamIndexLocked(s.id)
+	c.streams = slices.Insert(c.streams, i, s)
+}
+
+// retireStreamLocked drops a fully-finished stream from the open set and
+// reports whether it did, so a long-lived (pooled) connection does not
+// accumulate per-stream state and packetization stays proportional to the
+// ACTIVE stream count. Reads of already-buffered data keep working: they
+// never touch the set.
+func (c *Conn) retireStreamLocked(s *Stream) bool {
 	if !s.doneLocked() {
-		return
+		return false
 	}
-	delete(c.streams, s.id)
-	peerInitiated := (s.id%2 == 0) != c.isClient
-	if !peerInitiated {
-		return // stale frames for local ids are already ignored
+	if i, ok := c.streamIndexLocked(s.id); ok {
+		c.streams = slices.Delete(c.streams, i, i+1)
 	}
-	c.retiredPeer.add(s.id >> 1)
+	// Only peer ids need fencing: stale frames for local ids are already
+	// ignored.
+	if peerInitiated := (s.id%2 == 0) != c.isClient; peerInitiated {
+		c.retiredPeer.add(s.id >> 1)
+	}
+	return true
 }
 
 // --- reliability ---
@@ -776,23 +790,15 @@ func (c *Conn) retireStreamLocked(s *Stream) {
 func (c *Conn) handleAckLocked(f *ackFrame) {
 	now := c.clock.Now()
 	// The peer acks its full receive history, so the ranges span the
-	// connection's lifetime; scan the in-flight set (small) against them
-	// instead of iterating every covered packet number (unbounded on a
-	// long-lived pooled connection).
-	acked := c.pnScratch[:0]
-	for pn := range c.sent {
-		if f.covers(pn) {
-			acked = append(acked, pn)
-		}
-	}
-	slices.Sort(acked)
-	newlyAcked := len(acked) > 0
-	for _, pn := range acked {
-		sp := c.sent[pn]
-		delete(c.sent, pn)
+	// connection's lifetime; the ledger visits only the ranges overlapping
+	// its window, in packet-number order.
+	newlyAcked := false
+	for sp := range c.sent.acked(f) {
+		newlyAcked = true
+		c.sent.settle(sp)
 		c.inFlight -= sp.size
-		if int64(pn) > c.largestAcked {
-			c.largestAcked = int64(pn)
+		if int64(sp.pn) > c.largestAcked {
+			c.largestAcked = int64(sp.pn)
 			c.sampleRTTLocked(now.Sub(sp.sentAt))
 		}
 		// Slow-start growth, capped.
@@ -801,66 +807,39 @@ func (c *Conn) handleAckLocked(f *ackFrame) {
 		}
 	}
 	if !newlyAcked {
-		c.pnScratch = acked
 		return
 	}
 	c.ptoBackoff = 0
-	// Packet-threshold loss detection. The scratch is free again: the acked
-	// prefix has been fully consumed above.
-	lost := acked[:0]
-	for pn := range c.sent {
-		if c.largestAcked >= 0 && pn+3 <= uint64(c.largestAcked) {
-			lost = append(lost, pn)
-		}
-	}
-	slices.Sort(lost)
-	for _, pn := range lost {
-		sp := c.sent[pn]
-		delete(c.sent, pn)
-		c.inFlight -= sp.size
+	// Packet-threshold loss detection.
+	for sp := range c.sent.lost(c.largestAcked) {
 		c.queued = append(c.queued, sp.frames...)
-		if pn >= c.recoveryEnd {
+		c.sent.settle(sp)
+		c.inFlight -= sp.size
+		if sp.pn >= c.recoveryEnd {
 			c.cwnd = maxInt(c.cwnd/2, 2*c.cfg.MaxPacketSize)
 			c.recoveryEnd = c.nextPN
 		}
 	}
-	c.pnScratch = lost
+	c.sent.trim()
 	c.armPTOLocked()
 	c.packetizeLocked()
 }
 
-// MinRTTSample floors every ingested RTT sample. A LAN-fast (or
-// zero-latency virtual) path can deliver acks within the clock's
-// granularity; without the floor the integer EWMA divisions truncate srtt
-// toward 0 and RTTStats/OnRTTSample report a trafficked connection with "no"
-// round-trip estimate.
-const MinRTTSample = time.Microsecond
+// MinRTTSample floors every ingested RTT sample, so RTTStats/OnRTTSample
+// never report a trafficked connection with "no" round-trip estimate.
+const MinRTTSample = rtt.MinSample
 
-func (c *Conn) sampleRTTLocked(rtt time.Duration) {
-	if rtt < MinRTTSample {
-		rtt = MinRTTSample
-	}
-	if c.rttSamples == 0 {
-		c.srtt = rtt
-		c.rttvar = rtt / 2
-	} else {
-		d := c.srtt - rtt
-		if d < 0 {
-			d = -d
-		}
-		c.rttvar = (3*c.rttvar + d) / 4
-		c.srtt = (7*c.srtt + rtt) / 8
-	}
-	c.rttSamples++
+func (c *Conn) sampleRTTLocked(sample time.Duration) {
+	sample = c.rtt.Observe(sample)
 	if c.rttObs != nil || c.rttBatchObs != nil {
 		if c.pendingRTTN < len(c.pendingRTT) {
-			c.pendingRTT[c.pendingRTTN] = rtt
+			c.pendingRTT[c.pendingRTTN] = sample
 			c.pendingRTTN++
 		} else {
 			// Coalesce: keep the buffer's older samples, overwrite the
 			// newest slot — the observer still sees the freshest estimate
 			// and the tap stays allocation-free under any burst.
-			c.pendingRTT[len(c.pendingRTT)-1] = rtt
+			c.pendingRTT[len(c.pendingRTT)-1] = sample
 		}
 	}
 }
@@ -872,7 +851,7 @@ func (c *Conn) sampleRTTLocked(rtt time.Duration) {
 func (c *Conn) RTTStats() (srtt, rttvar time.Duration, samples int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.srtt, c.rttvar, c.rttSamples
+	return c.rtt.SRTT, c.rtt.RTTVar, c.rtt.Samples
 }
 
 // OnRTTSample installs obs as the connection's RTT observer: it is invoked
@@ -946,8 +925,8 @@ const (
 
 func (c *Conn) ptoLocked() time.Duration {
 	base := 500 * time.Millisecond
-	if c.srtt > 0 {
-		base = c.srtt + 4*c.rttvar + time.Millisecond
+	if c.rtt.SRTT > 0 {
+		base = c.rtt.SRTT + 4*c.rtt.RTTVar + time.Millisecond
 	}
 	shift := c.ptoBackoff
 	if shift > maxPTOBackoff {
@@ -961,7 +940,7 @@ func (c *Conn) ptoLocked() time.Duration {
 }
 
 func (c *Conn) armPTOLocked() {
-	if len(c.sent) == 0 || c.closed {
+	if c.sent.live == 0 || c.closed {
 		if c.ptoCancel != nil {
 			c.ptoCancel()
 			c.ptoCancel = nil
@@ -984,7 +963,7 @@ func (c *Conn) onPTO() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.ptoCancel = nil // the timer that fired is spent
-	if c.closed || len(c.sent) == 0 {
+	if c.closed || c.sent.live == 0 {
 		return
 	}
 	if remaining := c.ptoDeadline.Sub(c.clock.Now()); remaining > 0 {
@@ -996,17 +975,12 @@ func (c *Conn) onPTO() {
 	if c.ptoBackoff < maxPTOBackoff {
 		c.ptoBackoff++
 	}
-	var pns []uint64
-	for pn := range c.sent {
-		pns = append(pns, pn)
-	}
-	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
-	for _, pn := range pns {
-		sp := c.sent[pn]
-		delete(c.sent, pn)
-		c.inFlight -= sp.size
+	for sp := range c.sent.all() {
 		c.queued = append(c.queued, sp.frames...)
+		c.sent.settle(sp)
+		c.inFlight -= sp.size
 	}
+	c.sent.trim()
 	c.packetizeLocked()
 }
 
@@ -1029,16 +1003,6 @@ func (c *Conn) maxFramePayloadLocked() int {
 		budget = 256
 	}
 	return budget
-}
-
-func (c *Conn) sortedStreamsLocked() []*Stream {
-	out := c.streamScratch[:0]
-	for _, s := range c.streams {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	c.streamScratch = out
-	return out
 }
 
 // packetizeLocked drains acks, control frames, and stream data into as many
@@ -1089,7 +1053,8 @@ func (c *Conn) packetizeLocked() {
 		}
 		if c.inFlight < c.cwnd {
 			const streamOverhead = 32 // type, flags, 3 varints worst case
-			for _, s := range c.sortedStreamsLocked() {
+			for i := 0; i < len(c.streams); {
+				s := c.streams[i]
 				for s.sendableLocked() && size+streamOverhead < maxPayload && c.inFlight+size < c.cwnd {
 					f := s.nextFrameLocked(maxPayload - size - streamOverhead)
 					if f == nil {
@@ -1101,7 +1066,9 @@ func (c *Conn) packetizeLocked() {
 				}
 				// The FIN may have just been packetized, completing the
 				// stream's send side.
-				c.retireStreamLocked(s)
+				if !c.retireStreamLocked(s) {
+					i++
+				}
 			}
 		}
 		if len(frames) == 0 {
@@ -1144,7 +1111,7 @@ func (c *Conn) sendPacketLocked(frames []frame, ackEliciting bool) {
 				break
 			}
 		}
-		c.sent[pn] = &sentPacket{frames: kept, size: len(buf), sentAt: c.clock.Now()}
+		c.sent.add(pn, kept, len(buf), c.clock.Now())
 		c.inFlight += len(buf)
 		if c.ptoCancel == nil {
 			c.armPTOLocked()

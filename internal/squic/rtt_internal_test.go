@@ -56,8 +56,8 @@ func TestPTOBackoffCappedNoOverflow(t *testing.T) {
 	c, pconn := deadConn(t, clock)
 
 	c.mu.Lock()
-	c.srtt, c.rttvar = 100*time.Millisecond, 10*time.Millisecond
-	c.rttSamples = 1
+	c.rtt.SRTT, c.rtt.RTTVar = 100*time.Millisecond, 10*time.Millisecond
+	c.rtt.Samples = 1
 	c.queueFrameLocked(pingFrame{})
 	c.packetizeLocked() // sends, arms the first PTO
 	c.mu.Unlock()
